@@ -26,7 +26,6 @@ EXIT_IO = 4
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="YAML scenario file (default: built-in)")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory (default: out)")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads for sweeps (default: 1)")
     parser.add_argument(
         "--set", dest="overrides", metavar="SEC.KEY=VAL", action="append", default=[],
         help="override one config entry, repeatable (example: --set scene.user=[-0.2,2.0])",
@@ -103,12 +102,11 @@ def _dispatch(args: argparse.Namespace, config: ScenarioConfig) -> list[Path]:
         return list(report.files)
     if args.command == "sweep":
         path = run_sweep(
-            config, args.kind, out, workers=max(1, args.workers),
-            c_lo=args.lo, c_hi=args.hi, step=args.step,
+            config, args.kind, out, c_lo=args.lo, c_hi=args.hi, step=args.step,
             positions=_parse_positions(args.positions),
         )
         return [path]
-    return list(REPRO[args.figure](config, out, workers=max(1, args.workers)))
+    return list(REPRO[args.figure](config, out))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,17 +1,17 @@
 """Scenario runners: single simulations, parameter sweeps and the stock
 figure-reproduction experiments.
 
-Everything here is deterministic: sweeps evaluate excitations in fixed-size
-batches (worker threads only spread the batches over cores, they never
-change the arithmetic), and every output file starts with the config hash
-and a one-line parameter echo.
+Received powers come from the receiver response of their scene: one
+adjoint march per sweep or optimizer run, then one dot product per
+excitation.  Heatmaps, final slices and the noise calibration march the
+field forward.  Everything here is deterministic, and every output file
+starts with the config hash and a one-line parameter echo.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +20,14 @@ from .beamformer import airy_rhs, airy_ula, focused_rhs
 from .config import ScenarioConfig, config_hash
 from .optimizer import OptimizationResult, geometric_estimate, optimize_trajectory, pick_circumvention_point
 from .propagation import (
-    FieldSlice,
     GridSpec,
     ReceiverModel,
     Scene,
     achievable_rate,
     propagate,
-    propagate_batch,
     received_power,
+    receiver_response,
+    response_power,
 )
 from .rhs import DegenerateExcitationError, RhsConfig
 from .trajectory import (
@@ -44,7 +44,6 @@ from .trajectory import (
 CALIBRATION_DISTANCE = 1.0
 CALIBRATION_SNR = 100.0
 
-_BATCH = 64
 _HEATMAP_FLOOR_DB = -60.0
 
 
@@ -63,36 +62,35 @@ class Bench:
         return (self.scene.receiver_x, self.scene.receiver_z)
 
     def power(self, exc, scene: Scene | None = None) -> float:
+        return float(self.batch_powers([exc], scene)[0])
+
+    def batch_powers(self, excitations, scene: Scene | None = None) -> np.ndarray:
+        """Received power of each excitation, all read from one receiver
+        response (no march at all for an empty list)."""
+        if not excitations:
+            return np.zeros(0)
         scene = scene if scene is not None else self.scene
-        final = propagate(
-            exc, scene, self.grid, self.rhs.wavenumber,
+        response = receiver_response(
+            scene, self.grid, self.rhs.wavenumber,
             absorber_fraction=self.config.propagation.absorber_fraction,
         )
-        return received_power(final, self.receiver, scene.receiver_x)
+        return np.array([response_power(response, exc, self.receiver) for exc in excitations])
 
-    def batch_powers(self, excitations, scene: Scene | None = None, workers: int = 1) -> np.ndarray:
-        """Received power for many excitations, batched deterministically."""
-        scene = scene if scene is not None else self.scene
-        chunks = [excitations[i : i + _BATCH] for i in range(0, len(excitations), _BATCH)]
-
-        def run(chunk):
-            return propagate_batch(
-                chunk, scene, self.grid, self.rhs.wavenumber,
-                absorber_fraction=self.config.propagation.absorber_fraction,
-            )
-
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fields = list(pool.map(run, chunks))
-        else:
-            fields = [run(chunk) for chunk in chunks]
-        z_final = scene.plane_count * scene.plane_spacing
-        out = []
-        for block in fields:
-            for row in block:
-                sl = FieldSlice(z=z_final, grid=self.grid, values=row)
-                out.append(received_power(sl, self.receiver, scene.receiver_x))
-        return np.array(out)
+    def optimize(self, scene: Scene | None = None, rhs: RhsConfig | None = None) -> OptimizationResult:
+        """``optimize_trajectory`` with the configured optimizer settings.  An
+        explicit ``rhs`` steps c by its own element spacing."""
+        cfg = self.config
+        return optimize_trajectory(
+            scene if scene is not None else self.scene,
+            rhs if rhs is not None else self.rhs,
+            self.grid, self.receiver,
+            delta_c=rhs.element_spacing if rhs is not None else cfg.delta_c(),
+            waist=cfg.optimizer_waist(),
+            grid_step=cfg.grid_step(),
+            min_active=cfg.optimizer.min_active,
+            clearance=cfg.optimizer.clearance,
+            absorber_fraction=cfg.propagation.absorber_fraction,
+        )
 
     def field_map(self, exc, scene: Scene | None = None) -> np.ndarray:
         """|E|^2 on every propagation plane; row 0 is the aperture plane."""
@@ -160,7 +158,6 @@ def sweep_offsets(
     c_hi: float | None = None,
     step: float | None = None,
     anchor: ObstaclePoint | None = None,
-    workers: int = 1,
     include_rhs: bool = True,
     include_ula: bool = True,
 ) -> list[OffsetRow]:
@@ -207,8 +204,9 @@ def sweep_offsets(
 
     rhs_jobs = [e[2] for e in entries if e[2] is not None]
     ula_jobs = [e[3] for e in entries if e[3] is not None]
-    p_rhs = iter(bench.batch_powers(rhs_jobs, workers=workers))
-    p_ula = iter(bench.batch_powers(ula_jobs, workers=workers))
+    powers = bench.batch_powers(rhs_jobs + ula_jobs)
+    p_rhs = iter(powers[: len(rhs_jobs)])
+    p_ula = iter(powers[len(rhs_jobs) :])
     rows = []
     for c, traj, rhs_exc, ula_exc, feasible in entries:
         try:
@@ -287,19 +285,8 @@ def _position_row(bench: Bench, z_r: float, coarse: RhsConfig) -> PositionRow:
         plane_spacing=bench.scene.plane_spacing,
     )
     user = (scene.receiver_x, scene.receiver_z)
-    kwargs = dict(
-        waist=cfg.optimizer_waist(),
-        grid_step=cfg.grid_step(),
-        min_active=cfg.optimizer.min_active,
-        clearance=cfg.optimizer.clearance,
-        absorber_fraction=cfg.propagation.absorber_fraction,
-    )
-    res = optimize_trajectory(
-        scene, bench.rhs, bench.grid, bench.receiver, delta_c=cfg.delta_c(), **kwargs
-    )
-    res_coarse = optimize_trajectory(
-        scene, coarse, bench.grid, bench.receiver, delta_c=coarse.element_spacing, **kwargs
-    )
+    res = bench.optimize(scene)
+    res_coarse = bench.optimize(scene, coarse)
     anchor = pick_circumvention_point(scene, bench.rhs, cfg.optimizer.clearance)
     geom = geometric_estimate(
         user, anchor, res.c_opt, bench.rhs, cfg.optimizer_waist(), cfg.optimizer.min_active
@@ -308,25 +295,14 @@ def _position_row(bench: Bench, z_r: float, coarse: RhsConfig) -> PositionRow:
     # fixed-aperture baseline: its own best offset in the default window
     ula_rows = [
         r
-        for r in sweep_offsets(
-            Bench(cfg, bench.rhs, scene, bench.grid, bench.receiver),
-            anchor=anchor,
-            include_rhs=False,
-        )
+        for r in sweep_offsets(replace(bench, scene=scene), anchor=anchor, include_rhs=False)
         if np.isfinite(r.p_ula)
     ]
     base = ula_baseline(ula_rows)
     p_ula = base.p_ula if base is not None else 0.0
     c_ula = base.c if base is not None else float("nan")
 
-    p_focused = received_power(
-        propagate(
-            focused_rhs(bench.rhs, user), scene, bench.grid, bench.rhs.wavenumber,
-            absorber_fraction=cfg.propagation.absorber_fraction,
-        ),
-        bench.receiver,
-        scene.receiver_x,
-    )
+    p_focused = bench.power(focused_rhs(bench.rhs, user), scene)
     return PositionRow(
         z_r=z_r,
         c_est=res.estimate.c,
@@ -350,11 +326,7 @@ def _position_row(bench: Bench, z_r: float, coarse: RhsConfig) -> PositionRow:
     )
 
 
-def sweep_positions(
-    bench: Bench,
-    positions: list[float] | None = None,
-    workers: int = 1,
-) -> list[PositionRow]:
+def sweep_positions(bench: Bench, positions: list[float] | None = None) -> list[PositionRow]:
     """Optimize the trajectory at several receiver depths and collect the
     rate/geometry trends, together with a half-density aperture and the
     fixed-aperture baseline."""
@@ -363,9 +335,6 @@ def sweep_positions(
     if not positions:
         raise ValueError("empty position list")
     coarse = bench.config.rhs_model_with_spacing(2.0 * bench.rhs.element_spacing)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda z: _position_row(bench, z, coarse), positions))
     return [_position_row(bench, z, coarse) for z in positions]
 
 
@@ -394,6 +363,12 @@ def write_csv(path: Path, config: ScenarioConfig, columns: list[str], rows, note
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_offset_sweep(path: Path, config: ScenarioConfig, rows: list[OffsetRow]) -> Path:
+    """Offset sweep CSV, one column per OffsetRow field."""
+    columns = [f.name for f in fields(OffsetRow)]
+    return write_csv(path, config, columns, [astuple(r) for r in rows], "offset sweep")
 
 
 def write_pgm(path: Path, intensity: np.ndarray, floor_db: float = _HEATMAP_FLOOR_DB) -> Path:
@@ -427,16 +402,7 @@ class SingleReport:
 
 def _auto_trajectory(bench: Bench, beam: str) -> Trajectory:
     if beam == "airy_rhs":
-        res = optimize_trajectory(
-            bench.scene, bench.rhs, bench.grid, bench.receiver,
-            delta_c=bench.config.delta_c(),
-            waist=bench.config.optimizer_waist(),
-            grid_step=bench.config.grid_step(),
-            min_active=bench.config.optimizer.min_active,
-            clearance=bench.config.optimizer.clearance,
-            absorber_fraction=bench.config.propagation.absorber_fraction,
-        )
-        return res.trajectory
+        return bench.optimize().trajectory
     rows = sweep_offsets(bench)
     base = ula_baseline(rows)
     if base is None:
@@ -500,22 +466,17 @@ def run_single(
                         files=(f_slice, f_map, f_summary))
 
 
-def run_sweep(config: ScenarioConfig, kind: str, out_dir: Path, workers: int = 1,
+def run_sweep(config: ScenarioConfig, kind: str, out_dir: Path,
               c_lo: float | None = None, c_hi: float | None = None,
               step: float | None = None, positions: list[float] | None = None) -> Path:
     """Parameter sweep to CSV.  kind is offset_c, user_z or spacing."""
     out_dir = Path(out_dir)
     bench = build_bench(config)
     if kind == "offset_c":
-        rows = sweep_offsets(bench, c_lo, c_hi, step, workers=workers)
-        return write_csv(
-            out_dir / "sweep_offset_c.csv", config,
-            ["c", "a", "b", "z_max", "feasible", "reach_ok", "p_rhs", "p_ula"],
-            [(r.c, r.a, r.b, r.z_max, r.feasible, r.reach_ok, r.p_rhs, r.p_ula) for r in rows],
-            "offset sweep",
-        )
+        rows = sweep_offsets(bench, c_lo, c_hi, step)
+        return write_offset_sweep(out_dir / "sweep_offset_c.csv", config, rows)
     if kind == "user_z":
-        rows = sweep_positions(bench, positions, workers=workers)
+        rows = sweep_positions(bench, positions)
         return write_csv(
             out_dir / "sweep_user_z.csv", config,
             ["z_r", "c_est", "c_opt", "a", "b", "z_max", "d_r", "theta_r",
@@ -530,18 +491,10 @@ def run_sweep(config: ScenarioConfig, kind: str, out_dir: Path, workers: int = 1
         d = bench.rhs.element_spacing
         out_rows = []
         for spacing in (d, 2.0 * d):
-            cfg_s = config.rhs_model_with_spacing(spacing)
-            res = optimize_trajectory(
-                bench.scene, cfg_s, bench.grid, bench.receiver,
-                delta_c=cfg_s.element_spacing,
-                waist=config.optimizer_waist(), grid_step=config.grid_step(),
-                min_active=config.optimizer.min_active,
-                clearance=config.optimizer.clearance,
-                absorber_fraction=config.propagation.absorber_fraction,
-            )
+            res = bench.optimize(rhs=config.rhs_model_with_spacing(spacing))
             out_rows.append(("airy_rhs", spacing, res.c_opt, res.power,
                              achievable_rate(res.power, bench.receiver)))
-        base = ula_baseline(sweep_offsets(bench, workers=workers))
+        base = ula_baseline(sweep_offsets(bench))
         if base is not None:
             out_rows.append(("airy_ula", config.ula_spacing(), base.c, base.p_ula,
                              achievable_rate(base.p_ula, bench.receiver)))
@@ -555,7 +508,7 @@ def run_sweep(config: ScenarioConfig, kind: str, out_dir: Path, workers: int = 1
 # ---------------------------------------------------------------------------
 # stock experiments
 
-def repro_fig3(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[Path]:
+def repro_fig3(config: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Free-space synthesis comparison: the adjustable aperture forms a
     curved beam for an offset inside the aperture, the fixed aperture
     radiating over its full length distorts it."""
@@ -575,6 +528,7 @@ def repro_fig3(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[
         traj, bench.rhs.wavenumber, l, config.ula_spacing(), bench.rhs.feed_power,
         allow_partial=True,
     )
+    p_rhs, p_ula = bench.batch_powers([rhs_exc, ula_exc], free)
     out_dir = Path(out_dir)
     files = [
         write_pgm(out_dir / "fig3_rhs_curved.pgm", bench.field_map(rhs_exc, free)),
@@ -582,33 +536,25 @@ def repro_fig3(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[
         write_csv(
             out_dir / "fig3_summary.csv", config,
             ["beam", "a", "b", "c", "power"],
-            [("airy_rhs", a, b, c, bench.power(rhs_exc, free)),
-             ("airy_ula_partial", a, b, c, bench.power(ula_exc, free))],
+            [("airy_rhs", a, b, c, p_rhs), ("airy_ula_partial", a, b, c, p_ula)],
             "free-space synthesis comparison",
         ),
     ]
     return files
 
 
-def repro_fig4(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[Path]:
+def repro_fig4(config: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Received power against the launch offset for both architectures, plus
     heatmaps of each architecture's best beam."""
     bench = build_bench(config)
-    rows = sweep_offsets(bench, workers=workers)
+    rows = sweep_offsets(bench)
     best_rhs = best_rhs_offset(rows)
     base = ula_baseline(rows)
     finite_ula = [r for r in rows if np.isfinite(r.p_ula)]
     any_ula = max(finite_ula, key=lambda r: r.p_ula) if finite_ula else None
 
     out_dir = Path(out_dir)
-    files = [
-        write_csv(
-            out_dir / "fig4_sweep.csv", config,
-            ["c", "a", "b", "z_max", "feasible", "reach_ok", "p_rhs", "p_ula"],
-            [(r.c, r.a, r.b, r.z_max, r.feasible, r.reach_ok, r.p_rhs, r.p_ula) for r in rows],
-            "offset sweep",
-        )
-    ]
+    files = [write_offset_sweep(out_dir / "fig4_sweep.csv", config, rows)]
     summary = [("airy_rhs_best", best_rhs.c, best_rhs.p_rhs)]
     exc = airy_rhs(bench.rhs, Trajectory(a=best_rhs.a, b=best_rhs.b, c=best_rhs.c),
                    config.optimizer.min_active)
@@ -626,17 +572,11 @@ def repro_fig4(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[
     return files
 
 
-def repro_fig6(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[Path]:
+def repro_fig6(config: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Blocked-user comparison: the optimized curved beam against a beam
     focused straight at the user, with the optimizer search trace."""
     bench = build_bench(config)
-    res = optimize_trajectory(
-        bench.scene, bench.rhs, bench.grid, bench.receiver,
-        delta_c=config.delta_c(), waist=config.optimizer_waist(),
-        grid_step=config.grid_step(), min_active=config.optimizer.min_active,
-        clearance=config.optimizer.clearance,
-        absorber_fraction=config.propagation.absorber_fraction,
-    )
+    res = bench.optimize()
     curved = airy_rhs(bench.rhs, res.trajectory, config.optimizer.min_active)
     focused = focused_rhs(bench.rhs, bench.user)
     p_curved = res.power
@@ -663,10 +603,10 @@ def repro_fig6(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[
     return files
 
 
-def repro_fig7(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[Path]:
+def repro_fig7(config: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Achievable rate against receiver depth for three element densities."""
     bench = build_bench(config)
-    rows = sweep_positions(bench, workers=workers)
+    rows = sweep_positions(bench)
     return [
         write_csv(
             Path(out_dir) / "fig7_rates.csv", config,
@@ -678,10 +618,10 @@ def repro_fig7(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[
     ]
 
 
-def repro_fig8(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> list[Path]:
+def repro_fig8(config: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Optimized trajectory parameters against receiver depth."""
     bench = build_bench(config)
-    rows = sweep_positions(bench, workers=workers)
+    rows = sweep_positions(bench)
     return [
         write_csv(
             Path(out_dir) / "fig8_trajectory.csv", config,

@@ -5,7 +5,9 @@ blocked, pick a point the beam must round, seed the launch offset c with a
 cheap geometric power proxy, then refine c on a fixed grid by marching in
 both directions while the simulated received power keeps improving.  Each
 candidate c fixes the remaining parabola coefficients through the two
-anchor points (receiver and circumvention point).
+anchor points (receiver and circumvention point).  The scene is fixed
+during a search, so every candidate is read from one receiver response
+(see ``propagation``) instead of being marched on its own.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import numpy as np
 
 from .beamformer import airy_rhs
 from .propagation import (
+    FieldSlice,
     GridSpec,
     ReceiverModel,
     Scene,
-    propagate,
-    received_power,
+    receiver_response,
+    response_power,
 )
 from .rhs import DegenerateExcitationError, RhsConfig
 from .trajectory import (
@@ -263,15 +266,18 @@ def optimize_trajectory(
     received power does not drop, stopping at launch-constraint violations;
     the better of the two directional optima wins.  ``power_fn(c)`` may be
     injected for testing; the default builds the holographic excitation and
-    runs the full propagation.
+    reads its power from the receiver response, which the first evaluation
+    computes with one adjoint march and the later ones reuse.
     """
     if anchor is None:
         anchor = pick_circumvention_point(scene, cfg, clearance)
     if delta_c is None:
         delta_c = cfg.element_spacing
     user = (scene.receiver_x, scene.receiver_z)
+    response: FieldSlice | None = None
 
     def default_power(c: float) -> float:
+        nonlocal response
         a, b = solve_ab_from_c(user, anchor, c)
         report = feasible_offset(
             np.sign(a), c, cfg.aperture_length, cfg.element_spacing, min_active
@@ -279,10 +285,9 @@ def optimize_trajectory(
         if not report.feasible:
             raise InfeasibleOffsetError(f"offset c={c:g} is not launchable")
         exc = airy_rhs(cfg, Trajectory(a=a, b=b, c=c), min_active)
-        final = propagate(
-            exc, scene, grid, cfg.wavenumber, absorber_fraction=absorber_fraction
-        )
-        return received_power(final, rx, scene.receiver_x)
+        if response is None:
+            response = receiver_response(scene, grid, cfg.wavenumber, absorber_fraction)
+        return response_power(response, exc, rx)
 
     evaluate = power_fn if power_fn is not None else default_power
     trace: list[SearchPoint] = []

@@ -6,6 +6,20 @@ transfer function ``exp(-1j * dz * sqrt(k_f^2 - k_x^2))`` (evanescent
 components zeroed), inverse FFT, then apply any obstacle mask for that
 plane.  Outgoing waves carry ``exp(-1j k_f r)`` phase throughout.
 
+Received power is read at a single point, so it is evaluated by
+reciprocity.  The forward march is a linear map ``M`` of the deposited
+aperture vector ``s``, and the readout is a linear-interpolation row ``r``,
+so the field at the receiver is ``rᵀ M s = (Mᵀ r) · s``.
+``receiver_response`` computes ``g = Mᵀ r`` with one backward march: the
+planes in reverse order, each applying the absorber taper, the plane's
+obstacle mask and ``fft(ifft(v) * H)``.  That is the exact transpose of
+the forward step, because the masks and the taper are diagonal and the DFT
+matrix is symmetric.  Every excitation through the same scene then costs
+one dot product (``response_power``), and agrees with ``propagate``
+followed by ``received_power`` up to the rounding of reassociated sums.
+The forward march stays for whole fields: heatmaps, final slices and
+calibration.
+
 ``rs_direct`` evaluates the same step by direct quadrature of the first
 Rayleigh-Sommerfeld integral, summing the waves emanating from every
 aperture sample; it is O(n^2) and exists to validate the spectral step,
@@ -310,9 +324,10 @@ def propagate_batch(
 ) -> np.ndarray:
     """Propagate many excitations through the same scene in one pass.
 
-    Returns the final-plane field values, one row per excitation.  The FFTs
-    run over a stacked array, which is much faster than repeated single
-    propagations during offset sweeps.
+    Returns the final-plane field values, one row per excitation, each
+    bit-identical to its own ``propagate``.  Received powers go through
+    ``receiver_response`` instead, which needs one march for any number of
+    excitations.
     """
     if not excitations:
         return np.zeros((0, grid.count), dtype=complex)
@@ -329,6 +344,46 @@ def received_power(sl: FieldSlice, rx: ReceiverModel, x_r: float) -> float:
     e_re = np.interp(x_r, x, sl.values.real)
     e_im = np.interp(x_r, x, sl.values.imag)
     return rx.effective_aperture * (e_re**2 + e_im**2) / rx.impedance
+
+
+def receiver_response(
+    scene: Scene,
+    grid: GridSpec,
+    wavenumber: float,
+    absorber_fraction: float | None = 0.1,
+) -> FieldSlice:
+    """Receiver response ``g = Mᵀ r`` on the aperture plane: ``g · s`` is the
+    field ``received_power`` reads at ``scene.receiver_x`` after
+    ``propagate`` marches the deposited aperture vector ``s``."""
+    x = grid.x
+    x_r = scene.receiver_x
+    if not x[0] <= x_r <= x[-1]:
+        raise ValueError("receiver lies outside the grid window")
+    # the two linear-interpolation weights of the readout, as in np.interp
+    j = min(int(np.searchsorted(x, x_r, side="right")) - 1, grid.count - 2)
+    w = (x_r - x[j]) / (x[j + 1] - x[j])
+    g = np.zeros(grid.count, dtype=complex)
+    g[j], g[j + 1] = 1.0 - w, w
+    h = transfer_function(grid, scene.plane_spacing, wavenumber)
+    taper = absorber_profile(grid, absorber_fraction) if absorber_fraction else None
+    for step in range(scene.plane_count, 0, -1):
+        if taper is not None:
+            g *= taper
+        mask = blockage_profile(scene, step * scene.plane_spacing, grid)
+        if mask is not None:
+            g *= mask
+        g = np.fft.fft(np.fft.ifft(g) * h)
+    return FieldSlice(z=0.0, grid=grid, values=g)
+
+
+def response_power(
+    response: FieldSlice, exc: ApertureExcitation, rx: ReceiverModel
+) -> float:
+    """Power captured by the receiver from ``exc``: ``A_e |g · s|^2 / Z0``
+    with ``g`` from ``receiver_response`` and ``s`` the deposited aperture
+    vector (a plain dot product, no conjugate)."""
+    e = np.dot(response.values, excitation_to_slice(exc, response.grid).values)
+    return rx.effective_aperture * (e.real**2 + e.imag**2) / rx.impedance
 
 
 def achievable_rate(power: float, rx: ReceiverModel) -> float:

@@ -198,13 +198,13 @@ def test_cli_explicit_trajectory(tiny_config, tmp_path, capsys):
     assert summary.startswith("airy_rhs,-1.5,0.5,0")
 
 
-def test_cli_sweep_deterministic_across_workers(tiny_config, tmp_path):
+def test_cli_sweep_repeats_byte_identical(tiny_config, tmp_path):
     outs = []
-    for workers in ("1", "3"):
-        out = tmp_path / f"w{workers}"
+    for run in ("first", "second"):
+        out = tmp_path / run
         code = cli.main(
             ["sweep", "--kind", "offset_c", "--config", str(tiny_config),
-             "--out", str(out), "--workers", workers]
+             "--out", str(out)]
         )
         assert code == 0
         outs.append((out / "sweep_offset_c.csv").read_bytes())

@@ -1,8 +1,11 @@
 """Scenario runners, sweep determinism and output writers."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from curvebeam.beamformer import airy_rhs, airy_ula
 from curvebeam.config import config_from_dict, config_hash
 from curvebeam.experiments import (
     REPRO,
@@ -16,6 +19,7 @@ from curvebeam.experiments import (
     write_csv,
     write_pgm,
 )
+from curvebeam.propagation import propagate, received_power
 from curvebeam.trajectory import Trajectory
 
 TINY = {
@@ -76,17 +80,33 @@ def test_sweep_best_helpers(tiny_bench):
     assert base.p_ula == max(eligible)
 
 
-def test_sweep_workers_do_not_change_results(tiny_bench):
-    serial = sweep_offsets(tiny_bench, workers=1)
-    threaded = sweep_offsets(tiny_bench, workers=4)
-    assert len(serial) == len(threaded)
-    for r1, r2 in zip(serial, threaded):
+def test_sweep_repeats_bit_identical(tiny_bench):
+    first = sweep_offsets(tiny_bench)
+    second = sweep_offsets(tiny_bench)
+    assert len(first) == len(second)
+    for r1, r2 in zip(first, second):
         # bit-identical rows (nan-aware: nan marks unbuildable beams)
-        v1 = np.array([r1.c, r1.a, r1.b, r1.z_max, r1.feasible, r1.reach_ok,
-                       r1.p_rhs, r1.p_ula])
-        v2 = np.array([r2.c, r2.a, r2.b, r2.z_max, r2.feasible, r2.reach_ok,
-                       r2.p_rhs, r2.p_ula])
-        assert np.array_equal(v1, v2, equal_nan=True)
+        assert np.array_equal(astuple(r1), astuple(r2), equal_nan=True)
+
+
+def test_sweep_powers_match_forward_marches(tiny_bench):
+    b = tiny_bench
+    rows = sweep_offsets(b)
+    rhs_rows = [r for r in rows if np.isfinite(r.p_rhs)]
+    ula_rows = [r for r in rows if np.isfinite(r.p_ula)]
+    checks = [
+        (airy_rhs(b.rhs, Trajectory(r.a, r.b, r.c), b.config.optimizer.min_active), r.p_rhs)
+        for r in (rhs_rows[0], rhs_rows[-1])
+    ] + [
+        (airy_ula(Trajectory(r.a, r.b, r.c), b.rhs.wavenumber, b.rhs.aperture_length,
+                  b.config.ula_spacing(), b.rhs.feed_power), r.p_ula)
+        for r in (ula_rows[0], ula_rows[-1])
+    ]
+    for exc, power in checks:
+        final = propagate(exc, b.scene, b.grid, b.rhs.wavenumber,
+                          absorber_fraction=b.config.propagation.absorber_fraction)
+        forward = received_power(final, b.receiver, b.scene.receiver_x)
+        assert power == pytest.approx(forward, rel=1e-10)
 
 
 def test_position_sweep_reports_all_architectures(tiny_bench):
@@ -156,7 +176,7 @@ def test_repro_experiments_write_expected_files(tmp_path):
 
 def test_repro_fig4_summary_contains_margin(tmp_path):
     cfg = config_from_dict(TINY)
-    files = REPRO["fig4"](cfg, tmp_path, workers=2)
+    files = REPRO["fig4"](cfg, tmp_path)
     names = {p.name for p in files}
     assert "fig4_sweep.csv" in names and "fig4_summary.csv" in names
     text = (tmp_path / "fig4_summary.csv").read_text()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvebeam.propagation import (
     FREE_SPACE_IMPEDANCE,
@@ -20,6 +22,8 @@ from curvebeam.propagation import (
     propagate,
     propagate_batch,
     received_power,
+    receiver_response,
+    response_power,
     rs_direct,
     transfer_function,
 )
@@ -253,3 +257,72 @@ def test_scene_plane_count():
     scene = Scene(receiver_x=0.0, receiver_z=2.4, plane_spacing=5e-3)
     assert scene.plane_count == 480
     assert Scene(receiver_x=0.0, receiver_z=1e-4).plane_count == 1
+
+
+# Small scene for the adjoint property test: 256 samples, up to 40 planes.
+_ADJ_GRID = make_grid(-0.05, 0.05, 5e-4)
+_ADJ_K = 2.0 * np.pi / 3e-3
+_ADJ_RX = ReceiverModel(effective_aperture=1e-6, noise_power=1e-15)
+_ADJ_X = _ADJ_GRID.x
+
+
+@st.composite
+def _adjoint_cases(draw):
+    n = _ADJ_GRID.count
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True))
+    mags = draw(st.lists(st.floats(0.01, 1.0), min_size=len(idx), max_size=len(idx)))
+    phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=len(idx), max_size=len(idx)))
+    weights = np.array(mags) * np.exp(1j * np.array(phases))
+    exc = ApertureExcitation(positions=_ADJ_X[idx], weights=weights,
+                             total_power=float(np.sum(np.abs(weights) ** 2)))
+    obstacle = st.builds(
+        Obstacle,
+        x_start=st.floats(-0.05, 0.04),
+        z_start=st.floats(0.0, 0.03),
+        x_size=st.floats(1e-3, 0.03),
+        z_size=st.floats(1e-3, 0.02),
+        attenuation=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    receiver_x = draw(st.one_of(
+        st.sampled_from(list(_ADJ_X)),  # exactly on a sample, edges included
+        st.floats(_ADJ_X[-2], _ADJ_X[-1]),  # inside the last grid interval
+        st.floats(_ADJ_X[0], _ADJ_X[-1]),
+    ))
+    scene = Scene(
+        receiver_x=receiver_x,
+        receiver_z=draw(st.floats(2e-3, 0.04)),
+        obstacles=tuple(draw(st.lists(obstacle, max_size=2))),
+        plane_spacing=1e-3,
+    )
+    return exc, scene, draw(st.sampled_from([0.1, None]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_adjoint_cases())
+def test_receiver_response_matches_forward_march(case):
+    exc, scene, absorber = case
+    final = propagate(exc, scene, _ADJ_GRID, _ADJ_K, absorber_fraction=absorber)
+    forward = received_power(final, _ADJ_RX, scene.receiver_x)
+    response = receiver_response(scene, _ADJ_GRID, _ADJ_K, absorber_fraction=absorber)
+    adjoint = response_power(response, exc, _ADJ_RX)
+    assert adjoint == pytest.approx(forward, rel=1e-10, abs=0.0)
+
+
+def test_receiver_response_keeps_range_checks():
+    grid = GridSpec(x_start=0.0, dx=1e-3, count=128)
+    rx = ReceiverModel(effective_aperture=1e-6, noise_power=1e-15)
+    with pytest.raises(ValueError, match="receiver lies outside the grid window"):
+        receiver_response(Scene(receiver_x=0.2, receiver_z=0.01), grid, 2e3)
+    response = receiver_response(Scene(receiver_x=0.05, receiver_z=0.01), grid, 2e3)
+    outside = ApertureExcitation(
+        positions=np.array([0.2]), weights=np.array([0.5 + 0j]), total_power=1.0
+    )
+    with pytest.raises(ValueError, match="outside the grid window"):
+        response_power(response, outside, rx)
+    collide = ApertureExcitation(
+        positions=np.array([0.01, 0.0104]),
+        weights=np.array([0.5, 0.5 + 0j]),
+        total_power=1.0,
+    )
+    with pytest.raises(ValueError, match="two elements map to the same grid sample"):
+        response_power(response, collide, rx)
